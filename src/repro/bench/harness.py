@@ -1451,6 +1451,9 @@ def run_elastic_diurnal(
     directory), the full comparison lands in
     ``BENCH_elastic_diurnal.json``.
     """
+    # Every autoscaled arm starts at ``min_workers``: reject bad bounds
+    # before the static arm spends minutes simulating.
+    StarkConfig(min_workers=min_workers, max_workers=max_workers).validate_elastic(min_workers)
     static_load, static_wh, _, _ = _run_diurnal_replay(
         None, hours, hour_seconds, base_jobs_per_hour, peak_factor,
         base_events_per_step, start_workers=max_workers,

@@ -20,7 +20,7 @@ whether a stage reads RAM or re-executes a shuffle over disk + network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,8 @@ class SimStr(str):
     work normally, but the :class:`RecordSizer` accounts ``sim_size``
     bytes.  This keeps Python-side memory and CPU proportional to the
     record *count* while disk/network/GC costs follow the simulated
-    *bytes* — the quantity the paper's effects depend on.
+    *bytes* — the quantity the paper's effects depend on.  ``sim_size``
+    is an ``int`` fixed at construction; the sizer reads it as is.
     """
 
     __slots__ = ("sim_size",)
@@ -267,6 +268,34 @@ class RecordSizer:
         return self.base + self._payload(record)
 
     def _payload(self, value: object) -> int:
+        # Exact-type fast path: instances of these builtins cannot carry
+        # a size declaration, and a SimStr's only slot is its int
+        # ``sim_size``, so testing ``type(...) is`` gives the generic
+        # path's answer without its ``getattr``/``isinstance`` chain.
+        # Subclasses and everything else take the generic path.
+        t = type(value)
+        if t is tuple or t is list:
+            total = 8 * len(value)
+            for v in value:
+                tv = type(v)
+                if tv is str:
+                    total += len(v)
+                elif tv is SimStr:
+                    total += v.sim_size
+                elif tv is int or tv is float:
+                    total += 8
+                else:
+                    total += self._payload(v)
+            return total
+        if t is SimStr:
+            return value.sim_size
+        if t is str or t is bytes:
+            return len(value)
+        if t in _FIXED_PAYLOAD:
+            return 8
+        return self._generic_payload(value)
+
+    def _generic_payload(self, value: object) -> int:
         declared = getattr(value, "sim_size", None)
         if declared is not None:
             return int(declared)
@@ -280,23 +309,46 @@ class RecordSizer:
             return sum(self._payload(k) + self._payload(v) for k, v in value.items())
         return 48  # opaque object
 
+    def sizes(self, records) -> Tuple[int, float]:
+        """``(serialized, in_memory)`` bytes of a partition in one pass.
+
+        ``serialized`` is the summed :meth:`size_of` of the records (the
+        disk/shuffle/checkpoint form).  ``in_memory`` is the deserialized
+        (heap) footprint of the partition cached: a record exposing
+        ``sim_memory_size`` declares its own heap footprint and skips the
+        deserialized-objects blow-up — columnar batches
+        (``repro.columnar``) sit in contiguous typed arrays, so their
+        in-memory size *is* their byte size plus one object header.
+        Everything else pays ``memory_overhead`` on its serialized size.
+        ``in_memory`` accumulates record by record in partition order, so
+        the float sum is the same as summing the records one at a time.
+        """
+        base = self.base
+        overhead = self.memory_overhead
+        payload = self._payload
+        serialized = 0
+        in_memory = 0.0
+        for r in records:
+            size = base + payload(r)
+            serialized += size
+            if type(r) not in _UNDECLARED:
+                declared = getattr(r, "sim_memory_size", None)
+                if declared is not None:
+                    in_memory += base + declared
+                    continue
+            in_memory += size * overhead
+        return serialized, in_memory
+
     def size_of_partition(self, records) -> int:
-        return sum(self.size_of(r) for r in records)
+        return self.sizes(records)[0]
 
     def in_memory_size(self, records) -> float:
-        """Deserialized (heap) footprint of a cached partition.
+        """Deserialized (heap) footprint of a cached partition; see
+        :meth:`sizes`."""
+        return self.sizes(records)[1]
 
-        A record exposing ``sim_memory_size`` declares its own heap
-        footprint and skips the deserialized-objects blow-up — columnar
-        batches (``repro.columnar``) sit in contiguous typed arrays, so
-        their in-memory size *is* their byte size plus one object header.
-        Everything else pays ``memory_overhead`` on its serialized size.
-        """
-        total = 0.0
-        for r in records:
-            declared = getattr(r, "sim_memory_size", None)
-            if declared is not None:
-                total += self.base + declared
-            else:
-                total += self.size_of(r) * self.memory_overhead
-        return total
+
+#: Exact types whose payload is a fixed 8 bytes.
+_FIXED_PAYLOAD = frozenset((type(None), bool, int, float))
+#: Exact types whose instances cannot declare ``sim_memory_size``.
+_UNDECLARED = _FIXED_PAYLOAD | {str, bytes, tuple, list, SimStr}

@@ -78,11 +78,13 @@ class EvalContext:
         #: Heap footprint of each memoized partition, filled at
         #: memoization time in the same insertion order as ``_memo``.
         #: ``Task.run`` sums these for the GC surcharge instead of
-        #: re-sizing every record of every partition per task — the
-        #: single hottest wall-clock path of the whole simulator before
-        #: PR 9.  Cache hits reuse ``block.size_bytes``, which *is* the
-        #: ``in_memory_size`` computed when the block was cached, so the
-        #: sum is bit-identical to re-sizing.
+        #: re-sizing every record of every partition per task.  A freshly
+        #: materialized partition is sized by one ``RecordSizer.sizes``
+        #: pass that yields both its serialized size (for the RDD stats)
+        #: and its heap footprint, so each record is visited once.  Cache
+        #: hits reuse ``block.size_bytes``, which *is* the footprint
+        #: computed when the block was cached, so the sum is
+        #: bit-identical to re-sizing.
         self._memo_sizes: Dict[Tuple[int, int], float] = {}
         self._recompute_depth = 0
 
@@ -183,7 +185,7 @@ class EvalContext:
                 model.disk_read_cost(size) + model.serde_cost(size)
             )
             self._memo[key] = records
-            mem_size = ctx.sizer.in_memory_size(records)
+            _, mem_size = ctx.sizer.sizes(records)
             self._memo_sizes[key] = mem_size
             if rdd.cached:
                 self._cache_block(rdd, pid, records, mem_size)
@@ -211,10 +213,8 @@ class EvalContext:
         else:
             records = rdd.compute(pid, self)
         self._memo[key] = records
-        mem_size = ctx.sizer.in_memory_size(records)
+        size, mem_size = ctx.sizer.sizes(records)
         self._memo_sizes[key] = mem_size
-
-        size = ctx.sizer.size_of_partition(records)
         ctx.rdd_stats(rdd.rdd_id).record_size(pid, size)
         if rdd.cached:
             self._cache_block(rdd, pid, records, mem_size)
@@ -392,18 +392,16 @@ class EvalContext:
         return block.records
 
     def _cache_block(self, rdd: "RDD", pid: int, records: list,
-                     size: Optional[float] = None) -> None:
+                     size: float) -> None:
         from .block_manager import Block
 
         if not self.commit_effects:
             return
         ctx = self.context
-        # Cached blocks live deserialized on the heap: bigger than their
-        # serialized (disk/shuffle) form by the memory-overhead factor.
-        # ``evaluate`` passes the footprint it already computed for the
-        # working-set ledger so the records are only sized once.
-        if size is None:
-            size = ctx.sizer.in_memory_size(records)
+        # ``size`` is the heap footprint ``evaluate`` already computed for
+        # the working-set ledger: cached blocks live deserialized, bigger
+        # than their serialized (disk/shuffle) form by the memory-overhead
+        # factor.
         if not ctx.cache_manager.should_admit(rdd.rdd_id, size):
             # Cheaper to rebuild than the admission threshold: caching it
             # would only displace blocks whose loss actually costs time.
