@@ -27,7 +27,8 @@ from ..cluster.cluster import Cluster
 from ..cluster.cost_model import CostModel, HeterogeneityModel, SimStr
 from ..cluster.events import SimKernel
 from ..cluster.queueing import JobDriver, LoadResult, nearest_rank
-from ..columnar.datagen import lineitem_rows, orders_rows, register_tpch_tables
+from ..columnar.datagen import (LINEITEM_SCHEMA, ORDERS_SCHEMA,
+                                batch_generator, lineitem_rows, orders_rows)
 from ..core.checkpoint_optimizer import CheckpointOptimizer
 from ..core.edge_checkpoint import EdgeCheckpointer
 from ..elastic import (
@@ -2134,10 +2135,25 @@ def run_columnar_tpch(
     same generated partitions, so the simulated CPU accounting and the
     host wall-clock compare like for like.  A third context compiles
     the *unoptimized* logical plan to measure how many simulated bytes
-    the optimizer's pushdown avoids reading.
+    the optimizer's pushdown avoids reading.  The rows are generated
+    before either timed region, so the host wall times measure the
+    engines alone.
     """
     total_orders = num_partitions * orders_per_partition
     rows_scanned = total_orders + num_partitions * lineitems_per_partition
+    orders_parts = [orders_rows(pid, orders_per_partition, seed=seed)
+                    for pid in range(num_partitions)]
+    lineitem_parts = [lineitem_rows(pid, lineitems_per_partition,
+                                    total_orders, seed=seed)
+                      for pid in range(num_partitions)]
+
+    def register_tables(session: SQLSession) -> None:
+        for name, schema, parts in (
+                ("orders", ORDERS_SCHEMA, orders_parts),
+                ("lineitem", LINEITEM_SCHEMA, lineitem_parts)):
+            session.create_table(
+                name, schema, batch_generator(schema, parts.__getitem__),
+                num_partitions)
 
     def arm_metrics(arm, sc, rows, wall):
         job = sc.metrics.last_job()
@@ -2154,13 +2170,10 @@ def run_columnar_tpch(
     # -- row arm --------------------------------------------------------------
     sc_row = StarkContext(num_workers=num_workers,
                           cores_per_worker=cores_per_worker)
-    orders = sc_row.generated(
-        lambda pid: orders_rows(pid, orders_per_partition, seed=seed),
-        num_partitions, name="orders_rows")
-    lineitem = sc_row.generated(
-        lambda pid: lineitem_rows(pid, lineitems_per_partition,
-                                  total_orders, seed=seed),
-        num_partitions, name="lineitem_rows")
+    orders = sc_row.generated(orders_parts.__getitem__, num_partitions,
+                              name="orders_rows")
+    lineitem = sc_row.generated(lineitem_parts.__getitem__, num_partitions,
+                                name="lineitem_rows")
     open_orders = (orders
                    .filter(lambda r: r[2] == "O", name="open_orders")
                    .map(lambda r: (r[0], 1), name="order_keys"))
@@ -2179,10 +2192,7 @@ def run_columnar_tpch(
     sc_col = StarkContext(num_workers=num_workers,
                           cores_per_worker=cores_per_worker)
     session = SQLSession(sc_col)
-    register_tpch_tables(session, num_partitions=num_partitions,
-                         orders_per_partition=orders_per_partition,
-                         lineitems_per_partition=lineitems_per_partition,
-                         seed=seed)
+    register_tables(session)
     df = session.sql(COLUMNAR_TPCH_QUERY)
     started = perf_counter()
     col_rows = df.collect()
@@ -2193,10 +2203,7 @@ def run_columnar_tpch(
     sc_push = StarkContext(num_workers=num_workers,
                            cores_per_worker=cores_per_worker)
     push_session = SQLSession(sc_push)
-    register_tpch_tables(push_session, num_partitions=num_partitions,
-                         orders_per_partition=orders_per_partition,
-                         lineitems_per_partition=lineitems_per_partition,
-                         seed=seed)
+    register_tables(push_session)
     plan = push_session.sql(COLUMNAR_TPCH_QUERY).plan
 
     def plan_bytes(logical):

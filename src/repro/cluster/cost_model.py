@@ -20,7 +20,8 @@ whether a stage reads RAM or re-executes a shuffle over disk + network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -342,6 +343,90 @@ class RecordSizer:
     def size_of_partition(self, records) -> int:
         return self.sizes(records)[0]
 
+    # ---- sizes derived from known byte counts -----------------------------
+    #
+    # The helpers below return exactly what :meth:`sizes` would for a
+    # partition whose byte count follows from counts already held (memoized
+    # parents, cached blocks, map outputs), or ``None`` when they cannot
+    # prove that — the caller then walks the records.
+
+    def exact_heap(self, serialized: int) -> Optional[float]:
+        """The ``in_memory`` half of :meth:`sizes` for records totalling
+        ``serialized`` bytes, none of which declares ``sim_memory_size``;
+        ``None`` when the product might differ from the sequential sum.
+
+        :meth:`sizes` adds ``size * memory_overhead`` record by record.
+        With the overhead written as ``m / 2**e``, every term and every
+        partial sum is an integer multiple of ``2**-e`` no larger than
+        ``serialized * m`` (record sizes are non-negative unless an object
+        declares a negative ``sim_size``).  Below ``2**53`` each of them
+        is an exact float, so the sum equals ``serialized *
+        memory_overhead`` bit for bit.
+        """
+        numerator = self.memory_overhead.as_integer_ratio()[0]
+        if abs(serialized * numerator) >= _EXACT_INT_LIMIT:
+            return None
+        return float(serialized * self.memory_overhead)
+
+    def known_sizes(self, records,
+                    serialized: Optional[int]) -> Optional[Tuple[int, float]]:
+        """:meth:`sizes` of ``records`` whose serialized total is already
+        known (a shuffle read: the sum of its map outputs' sizes).
+
+        ``None`` when ``serialized`` is not a known ``int``, when a record
+        could declare its own heap footprint (its exact type is not a
+        plain builtin container or scalar), or when the heap product is
+        not exact (:meth:`exact_heap`).
+        """
+        if type(serialized) is not int \
+                or not set(map(type, records)) <= _UNDECLARED:
+            return None
+        heap = self.exact_heap(serialized)
+        return None if heap is None else (serialized, heap)
+
+    def cogroup_sizes(self, inputs: Sequence[list],
+                      input_bytes: Sequence[Optional[int]],
+                      output: list) -> Optional[Tuple[int, float]]:
+        """:meth:`sizes` of ``output``, the cogroup ``[(key, (values_0, …,
+        values_{n-1}))]`` of the ``n`` lists of ``(key, value)`` pairs
+        ``inputs``, whose serialized sizes are ``input_bytes``.
+
+        Each of the ``V`` input records ``(k, v)`` is ``base + 16 + P(k) +
+        P(v)`` bytes, where ``P`` is the payload.  Each of the ``G`` output
+        records adds one tuple slot of 8 bytes per value, an ``n``-slot
+        tuple and the key once, so with ``S = sum(input_bytes)``::
+
+            serialized = S + G*(base + 16 + 8n) + V*(8 - base - 16)
+                         + sum(P(key) for each group) - sum(P(k) for each input)
+
+        That holds when every input record is an exact ``tuple`` (which
+        also rules out ``sim_memory_size``) and equal keys have equal
+        payloads: every key's exact type must be one of ``int``,
+        ``float``, ``bool``, ``None``, ``str`` or ``bytes`` (``"a"`` and
+        ``SimStr("a", 999)`` are equal keys of different sizes).  ``None``
+        when any condition fails, when an input size is not a known
+        ``int``, or when the heap product is not exact.
+        """
+        if not all(type(b) is int for b in input_bytes):
+            return None
+        num_records = input_key_payload = 0
+        for records in inputs:
+            if not set(map(type, records)) <= _TUPLE:
+                return None
+            payload = _key_payload(list(map(_first, records)))
+            if payload is None:
+                return None
+            num_records += len(records)
+            input_key_payload += payload
+        # The group keys are input keys, so their types passed too.
+        group_key_payload = _key_payload(list(map(_first, output)))
+        serialized = (sum(input_bytes)
+                      + len(output) * (self.base + 16 + 8 * len(inputs))
+                      + num_records * (8 - self.base - 16)
+                      + group_key_payload - input_key_payload)
+        heap = self.exact_heap(serialized)
+        return None if heap is None else (serialized, heap)
+
     def in_memory_size(self, records) -> float:
         """Deserialized (heap) footprint of a cached partition; see
         :meth:`sizes`."""
@@ -352,3 +437,30 @@ class RecordSizer:
 _FIXED_PAYLOAD = frozenset((type(None), bool, int, float))
 #: Exact types whose instances cannot declare ``sim_memory_size``.
 _UNDECLARED = _FIXED_PAYLOAD | {str, bytes, tuple, list, SimStr}
+#: Exact key types whose payload is the same for all equal keys.
+_KEY_TYPES = _FIXED_PAYLOAD | {str, bytes}
+_TUPLE = frozenset((tuple,))
+#: Integers of smaller magnitude are exact floats.
+_EXACT_INT_LIMIT = 2 ** 53
+_first = itemgetter(0)
+
+
+def _key_payload(keys: list) -> Optional[int]:
+    """Summed payload of ``keys``, or ``None`` when some key's exact type
+    is outside ``_KEY_TYPES``."""
+    types = set(map(type, keys))
+    if types <= _FIXED_PAYLOAD:
+        return 8 * len(keys)
+    if not types <= _KEY_TYPES:
+        return None
+    return sum(len(k) if type(k) is str or type(k) is bytes else 8
+               for k in keys)
+
+
+def exact_total(counts: Iterable) -> Optional[int]:
+    """Sum of byte ``counts`` when every one is a known ``int``, else
+    ``None``."""
+    counts = list(counts)
+    if not all(type(c) is int for c in counts):
+        return None
+    return sum(counts)

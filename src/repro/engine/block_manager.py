@@ -29,11 +29,18 @@ BlockId = Tuple[int, int]  # (rdd_id, partition_index)
 
 @dataclass
 class Block:
-    """A cached partition: the records plus their accounted byte size."""
+    """A cached partition: the records plus their accounted byte size.
+
+    ``size_bytes`` is the heap footprint the store accounts.
+    ``serialized_bytes`` is the records' serialized size when the creator
+    knows it; readers that derive sizes from it walk the records instead
+    when it is ``None``.
+    """
 
     block_id: BlockId
     records: list
     size_bytes: float
+    serialized_bytes: Optional[int] = None
 
 
 class BlockStore:
@@ -323,7 +330,8 @@ class BlockManagerMaster:
             self._remove_migrated_source(block_id, src)
             return True
         copy = Block(block_id=block.block_id, records=block.records,
-                     size_bytes=block.size_bytes)
+                     size_bytes=block.size_bytes,
+                     serialized_bytes=block.serialized_bytes)
         evicted = self.put(dst, copy)
         if evicted and evicted[0] is copy and block_id not in self.stores[dst]:
             return False  # destination rejected it

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
+from ..cluster.cost_model import exact_total
 from ..obs.events import (BlockCached, BrokerPrefixHit, CacheHit, CacheMiss,
                           ShuffleFetch)
 from .fault_tolerance import FetchFailedError
@@ -86,11 +87,36 @@ class EvalContext:
         #: computed when the block was cached, so the sum is
         #: bit-identical to re-sizing.
         self._memo_sizes: Dict[Tuple[int, int], float] = {}
+        #: Serialized byte count of each memoized partition, or ``None``
+        #: when unknown (a block cached without one).  Operators whose
+        #: output size follows from their inputs' counts read these.
+        self._memo_bytes: Dict[Tuple[int, int], Optional[int]] = {}
+        #: ``(serialized, in_memory)`` an RDD's ``compute`` declared for
+        #: the partition it just built; ``evaluate`` takes it instead of
+        #: walking the records.
+        self._declared: Dict[Tuple[int, int], Tuple[int, float]] = {}
+        #: Serialized byte count of the records the last
+        #: :meth:`fetch_shuffle` returned (``None`` when a map output's
+        #: size is not a known ``int``).
+        self.fetched_bytes: Optional[int] = None
         self._recompute_depth = 0
 
     def working_set_bytes(self) -> float:
         """Heap footprint of everything this task materialized."""
         return sum(self._memo_sizes.values())
+
+    def serialized_bytes(self, rdd: "RDD", pid: int) -> Optional[int]:
+        """Serialized size of memoized partition ``pid`` of ``rdd``, or
+        ``None`` when it is not known."""
+        return self._memo_bytes.get((rdd.rdd_id, pid))
+
+    def declare_sizes(self, rdd: "RDD", pid: int,
+                      sizes: Optional[Tuple[int, float]]) -> None:
+        """Let ``rdd.compute`` report the ``RecordSizer.sizes`` of the
+        partition it is about to return, derived from its inputs' byte
+        counts; ``None`` leaves it to ``evaluate`` to walk the records."""
+        if sizes is not None:
+            self._declared[(rdd.rdd_id, pid)] = sizes
 
     # ---- cost charging (called by RDD.compute implementations) ---------------
 
@@ -163,6 +189,7 @@ class EvalContext:
                     size_bytes=block.size_bytes))
             self._memo[key] = block.records
             self._memo_sizes[key] = block.size_bytes
+            self._memo_bytes[key] = block.serialized_bytes
             return block.records
 
         # 1b. Cross-job lineage-prefix hit: an RDD with a structurally
@@ -185,10 +212,11 @@ class EvalContext:
                 model.disk_read_cost(size) + model.serde_cost(size)
             )
             self._memo[key] = records
-            _, mem_size = ctx.sizer.sizes(records)
+            size, mem_size = ctx.sizer.sizes(records)
             self._memo_sizes[key] = mem_size
+            self._memo_bytes[key] = size
             if rdd.cached:
-                self._cache_block(rdd, pid, records, mem_size)
+                self._cache_block(rdd, pid, records, size, mem_size)
             return records
 
         # 3/4. Recompute (shuffle fetches happen inside rdd.compute).
@@ -213,18 +241,23 @@ class EvalContext:
         else:
             records = rdd.compute(pid, self)
         self._memo[key] = records
-        size, mem_size = ctx.sizer.sizes(records)
+        declared = self._declared.pop(key, None)
+        size, mem_size = (declared if declared is not None
+                          else ctx.sizer.sizes(records))
         self._memo_sizes[key] = mem_size
+        self._memo_bytes[key] = size
         ctx.rdd_stats(rdd.rdd_id).record_size(pid, size)
         if rdd.cached:
-            self._cache_block(rdd, pid, records, mem_size)
+            self._cache_block(rdd, pid, records, size, mem_size)
         return records
 
     def fetch_shuffle(self, child: "RDD", dep: "ShuffleDependency", pid: int) -> list:
         """Fetch all map-output buckets feeding reduce partition ``pid``.
 
         Buckets on this worker's disk are read locally; others pay a
-        network transfer plus the remote disk read.
+        network transfer plus the remote disk read.  Leaves the fetched
+        records' serialized size, summed from the map outputs, in
+        :attr:`fetched_bytes`.
         """
         ctx = self.context
         model = ctx.cost_model
@@ -294,6 +327,7 @@ class EvalContext:
         reduce_cost = model.shuffle_reduce_cost(len(records))
         self.metrics.compute_time += reduce_cost
         ctx.rdd_stats(child.rdd_id).record_delay(reduce_cost)
+        self.fetched_bytes = exact_total(out.size_bytes for out in outputs)
         return records
 
     def write_shuffle_output(self, dep: "ShuffleDependency", map_pid: int) -> None:
@@ -389,10 +423,11 @@ class EvalContext:
         key = (rdd.rdd_id, pid)
         self._memo[key] = block.records
         self._memo_sizes[key] = block.size_bytes
+        self._memo_bytes[key] = block.serialized_bytes
         return block.records
 
     def _cache_block(self, rdd: "RDD", pid: int, records: list,
-                     size: float) -> None:
+                     serialized: int, size: float) -> None:
         from .block_manager import Block
 
         if not self.commit_effects:
@@ -407,7 +442,8 @@ class EvalContext:
             # would only displace blocks whose loss actually costs time.
             return
         ctx.block_manager_master.put(
-            self.worker_id, Block((rdd.rdd_id, pid), records, size)
+            self.worker_id,
+            Block((rdd.rdd_id, pid), records, size, serialized_bytes=serialized)
         )
         bus = ctx.event_bus
         if bus.active and ctx.block_manager_master.is_cached_on(

@@ -46,6 +46,8 @@ class ShuffledRDD(RDD):
     def compute(self, pid: int, ctx: "EvalContext") -> list:
         records = ctx.fetch_shuffle(self, self.shuffle_dep, pid)
         if self.shuffle_dep.aggregator is None:
+            ctx.declare_sizes(self, pid, self.context.sizer.known_sizes(
+                records, ctx.fetched_bytes))
             return records
         agg = self.shuffle_dep.aggregator
         acc: dict = {}
@@ -122,26 +124,28 @@ class CoGroupedRDD(RDD):
 
     def compute(self, pid: int, ctx: "EvalContext") -> list:
         groups: dict = {}
+        get = groups.get
         n = len(self.dependencies)
-
-        def slot(key: Any) -> list:
-            entry = groups.get(key)
-            if entry is None:
-                entry = [[] for _ in range(n)]
-                groups[key] = entry
-            return entry
-
-        total_in = 0
+        inputs: List[list] = []
+        input_bytes: List[Optional[int]] = []
         for idx, dep in enumerate(self.dependencies):
             if isinstance(dep, ShuffleDependency):
                 records = ctx.fetch_shuffle(self, dep, pid)
+                input_bytes.append(ctx.fetched_bytes)
             else:
                 records = ctx.evaluate(dep.rdd, pid)
-            total_in += len(records)
+                input_bytes.append(ctx.serialized_bytes(dep.rdd, pid))
+            inputs.append(records)
             for k, v in records:
-                slot(k)[idx].append(v)
-        ctx.charge_compute(self, total_in)
-        return [(k, tuple(vals)) for k, vals in groups.items()]
+                entry = get(k)
+                if entry is None:
+                    entry = groups[k] = [[] for _ in range(n)]
+                entry[idx].append(v)
+        ctx.charge_compute(self, sum(map(len, inputs)))
+        output = [(k, tuple(vals)) for k, vals in groups.items()]
+        ctx.declare_sizes(self, pid, self.context.sizer.cogroup_sizes(
+            inputs, input_bytes, output))
+        return output
 
 
 class CoalescedRDD(RDD):

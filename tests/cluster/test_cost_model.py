@@ -5,9 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, strategies as st
 
-from repro.cluster.cost_model import CostModel, RecordSizer, SimStr
+from repro.cluster.cost_model import CostModel, RecordSizer, SimStr, exact_total
 from repro.columnar.batch import ColumnarBatch
 
 
@@ -230,3 +230,174 @@ class TestSinglePassSizing:
         batch = BATCHES[0]
         assert sizer.sizes([batch]) == (sizer.base + batch.sim_size,
                                         float(sizer.base + batch.sim_size))
+
+
+# ---- sizes derived from known byte counts -----------------------------------
+
+Pair = namedtuple("Pair", ["key", "value"])
+
+
+class HeapPair(tuple):
+    """A pair declaring its own heap footprint."""
+
+    sim_memory_size = 100
+
+
+def make_record(shape: str, key, value):
+    if shape == "tuple":
+        return (key, value)
+    if shape == "namedtuple":
+        return Pair(key, value)
+    if shape == "list":
+        return [key, value]
+    return HeapPair((key, value))
+
+
+#: Key types whose equal keys always have equal payloads.
+DERIVABLE_KEY_TYPES = (int, float, bool, type(None), str, bytes)
+#: Keys that compare equal with different payloads sit in ``any_keys``:
+#: ``"a" == SimStr("a", 999)``; ``1 == 1.0 == True`` share a payload.
+#: Small pools make equal keys meet in one group.
+derivable_keys = st.one_of(
+    st.sampled_from([0, 1, 1.0, True, False, -0.0, None, "a", "bb", b"a"]),
+    st.integers(min_value=-3, max_value=3),
+    st.text(alphabet="ab", max_size=2), st.binary(max_size=2),
+)
+any_keys = st.one_of(
+    derivable_keys,
+    st.builds(SimStr, st.sampled_from(["a", "bb"]),
+              st.sampled_from([0, 1, 999])),
+    st.tuples(st.integers(min_value=0, max_value=2),
+              st.sampled_from(["a", "bb"])),
+)
+pair_values = st.recursive(
+    st.one_of(
+        st.text(max_size=6),
+        st.builds(SimStr, st.text(max_size=6),
+                  st.integers(min_value=0, max_value=10**6)),
+        st.integers(),
+        st.builds(Declared, st.text(max_size=4),
+                  st.integers(min_value=0, max_value=10**6)),
+    ),
+    lambda children: st.lists(children, max_size=3),
+    max_leaves=6,
+)
+SHAPES = ("tuple", "namedtuple", "list", "heap_pair")
+
+
+def partitions(keys, shapes):
+    return st.lists(st.builds(make_record, shapes, keys, pair_values),
+                    max_size=8)
+
+
+#: A parent partition: every record derivable, exact tuples with any
+#: keys, or anything goes.
+parent_partitions = st.one_of(
+    partitions(derivable_keys, st.just("tuple")),
+    partitions(any_keys, st.just("tuple")),
+    partitions(any_keys, st.sampled_from(SHAPES)),
+)
+#: A map-output bucket: builtin containers only, or anything goes.
+shuffle_buckets = st.one_of(
+    partitions(any_keys, st.sampled_from(("tuple", "list"))),
+    partitions(any_keys, st.sampled_from(SHAPES)),
+)
+#: How a parent's byte count is known: exactly, not at all, or as a float.
+count_kinds = st.sampled_from(["int", "int", "int", "none", "float"])
+overheads = st.sampled_from([2.5, 1.0, 3.0, 2.7])
+
+
+def byte_count(sizer: RecordSizer, records: list, kind: str):
+    serialized = sizer.sizes(records)[0]
+    return {"int": serialized, "none": None, "float": float(serialized)}[kind]
+
+
+def reference_cogroup(inputs: list) -> list:
+    groups: dict = {}
+    for idx, records in enumerate(inputs):
+        for k, v in records:
+            groups.setdefault(k, [[] for _ in inputs])[idx].append(v)
+    return [(k, tuple(vals)) for k, vals in groups.items()]
+
+
+def heap_is_exact(sizer: RecordSizer, serialized: int) -> bool:
+    numerator = sizer.memory_overhead.as_integer_ratio()[0]
+    return abs(serialized * numerator) < 2 ** 53
+
+
+class TestDerivedSizes:
+    @given(st.lists(st.tuples(parent_partitions, count_kinds),
+                    min_size=1, max_size=3),
+           st.integers(min_value=0, max_value=64), overheads)
+    def test_cogroup_sizes_equal_the_walk_or_fall_back(self, parents, base,
+                                                       overhead):
+        sizer = RecordSizer(base=base, memory_overhead=overhead)
+        inputs = [records for records, _ in parents]
+        counts = [byte_count(sizer, records, kind)
+                  for records, kind in parents]
+        output = reference_cogroup(inputs)
+        walked = sizer.sizes(output)
+        assert walked == reference_sizes(sizer, output)
+
+        derived = sizer.cogroup_sizes(inputs, counts, output)
+        eligible = (
+            all(type(c) is int for c in counts)
+            and all(type(r) is tuple and type(r[0]) in DERIVABLE_KEY_TYPES
+                    for records in inputs for r in records)
+            and heap_is_exact(sizer, walked[0]))
+        event("derived" if eligible else "fell back")
+        if eligible:
+            assert derived == walked
+            assert type(derived[0]) is int
+        else:
+            assert derived is None
+
+    @given(st.lists(st.tuples(shuffle_buckets, count_kinds), max_size=4),
+           st.integers(min_value=0, max_value=64), overheads)
+    def test_shuffle_read_sizes_equal_the_walk_or_fall_back(self, buckets,
+                                                            base, overhead):
+        sizer = RecordSizer(base=base, memory_overhead=overhead)
+        records = [r for bucket, _ in buckets for r in bucket]
+        serialized = exact_total(byte_count(sizer, bucket, kind)
+                                 for bucket, kind in buckets)
+        walked = sizer.sizes(records)
+
+        derived = sizer.known_sizes(records, serialized)
+        eligible = (type(serialized) is int
+                    and all(type(r) in (tuple, list) for r in records)
+                    and heap_is_exact(sizer, walked[0]))
+        event("derived" if eligible else "fell back")
+        if eligible:
+            assert derived == walked == reference_sizes(sizer, records)
+            assert type(derived[0]) is int
+        else:
+            assert derived is None
+
+    @given(st.lists(st.integers(min_value=0, max_value=10**9), max_size=40))
+    def test_exact_heap_is_the_sequential_sum(self, sizes):
+        sizer = RecordSizer(memory_overhead=2.5)
+        sequential = 0.0
+        for size in sizes:
+            sequential += size * 2.5
+        assert sizer.exact_heap(sum(sizes)).hex() == sequential.hex()
+
+    @given(st.one_of(st.integers(min_value=0, max_value=2 ** 60),
+                     st.integers(min_value=2 ** 53 // 5 - 4,
+                                 max_value=2 ** 53 // 5 + 4)),
+           st.sampled_from([2.5, 2.7]))
+    def test_exact_heap_refuses_past_the_bound(self, serialized, overhead):
+        sizer = RecordSizer(memory_overhead=overhead)
+        numerator = overhead.as_integer_ratio()[0]
+        heap = sizer.exact_heap(serialized)
+        if serialized * numerator >= 2 ** 53:
+            assert heap is None
+        else:
+            assert heap == serialized * overhead
+
+    def test_large_numerator_overhead_is_not_exact(self):
+        # Six records of one byte: 6 * 2.7 differs from adding 2.7 six
+        # times, so the product may not stand in for the walk.
+        sizer = RecordSizer(base=0, memory_overhead=2.7)
+        assert sizer.sizes([b"x"] * 6) != (6, 6 * 2.7)
+        assert sizer.exact_heap(6) is None
+        assert sizer.known_sizes([b"x"] * 6, 6) is None
