@@ -11,9 +11,10 @@ This package owns every caching policy decision the engine makes:
 * :mod:`~repro.cache.manager` — the per-context coordinator wiring the
   above into the block manager and the schedulers;
 * :mod:`~repro.cache.broker` — the cluster-wide cache broker
-  (``StarkConfig.cache_broker``): global value-ranked eviction with
-  migration, cross-job lineage-prefix sharing, and the memory-market
-  scoring elastic scale-in consults.
+  (``StarkConfig.cache_broker``): every store runs the cost-aware policy
+  ranked by cross-job references, and the broker adds value-ranked
+  eviction with migration across workers, cross-job lineage-prefix
+  sharing, and the memory-market scoring elastic scale-in consults.
 
 Select a policy via ``StarkConfig(cache_policy="lrc")``, the benchmark
 configs (``make_setup(..., cache_policy="cost")``), or globally via the
@@ -22,7 +23,7 @@ CLI (``python -m repro --cache-policy lrc <figure>``).  See
 """
 
 from .admission import AdmissionController
-from .broker import BrokerPolicy, CacheBroker
+from .broker import CacheBroker
 from .manager import CacheManager
 from .policy import (
     DEFAULTS,
@@ -42,7 +43,6 @@ from .reference_tracker import ReferenceTracker
 
 __all__ = [
     "AdmissionController",
-    "BrokerPolicy",
     "CacheBroker",
     "CacheDefaults",
     "CacheManager",

@@ -1,11 +1,12 @@
 """Cluster-wide cache broker: the single authority for cache value.
 
 With ``StarkConfig.cache_broker`` on, eviction stops being a
-per-executor decision.  Every block store's policy is a
-:class:`BrokerPolicy` stub that forwards all bookkeeping to the
-driver-side :class:`CacheBroker`, which ranks **every live block in the
-cluster** with the same value function the cost-aware policy uses per
-executor (:func:`repro.cache.policy.value_score`)::
+per-executor decision.  Every block store runs the ordinary
+:class:`~repro.cache.policy.QuotaAwarePolicy` around a
+:class:`~repro.cache.policy.CostAwarePolicy`, whose reference oracle is
+the driver-side :meth:`CacheBroker.cross_job_refcount`, so every live
+block in the cluster is ranked with one value function
+(:func:`repro.cache.policy.value_score`)::
 
     value = recompute_cost * (1 + cross_job_references) / size_bytes
 
@@ -13,7 +14,9 @@ where ``cross_job_references`` counts both the in-job/declared reads the
 :class:`~repro.cache.reference_tracker.ReferenceTracker` knows about
 *and* the running jobs whose lineage **prefix-matches** the block's RDD
 (see below) — the cluster-level generalization of LRC the paper's
-dynamic dataset collections need.
+dynamic dataset collections need.  The broker reads each block's size
+and recency from its store's policy; all stores share one recency
+counter, so tie-breaks compare across workers.
 
 Three coordination mechanisms hang off this one ranking:
 
@@ -27,7 +30,7 @@ the local victim into the freed space via
 :meth:`~repro.engine.block_manager.BlockManagerMaster.migrate_block` —
 "evict remote block B and move yours there".  Only when the local
 victim is already the cluster-wide cheapest does eviction fall through
-to the store's normal local path.  Migrations and remote evictions are
+to the store's own policy.  Migrations and remote evictions are
 modeled as asynchronous background transfers (like decommission
 migration): they cost no task time, only the recompute the evicted
 block's next reader will pay.
@@ -52,11 +55,12 @@ capacity (unless every candidate's resident bytes exceed the migration
 budget), and drains stores hottest-block-first so the budget is spent
 on the blocks most worth saving.
 
-Tenant quotas (:class:`~repro.service.quotas.TenantCacheQuotas`) become
-a broker *constraint* rather than a policy wrapper: local victim choice
-nominates over-quota tenants' blocks first, and quota displacement uses
-the broker's value ranking to drop the owning tenant's own
-lowest-value block **cluster-wide** — never another tenant's.
+Tenant quotas (:class:`~repro.service.quotas.TenantCacheQuotas`) keep
+their policy wrapper: local victim choice nominates over-quota tenants'
+blocks first (and the market then defers to that local eviction), and
+quota displacement uses the broker's value ranking to drop the owning
+tenant's own lowest-value block **cluster-wide** — never another
+tenant's.
 
 All state lives in insertion-ordered dicts with total-order tie-breaks,
 so runs are byte-identical for identical inputs.
@@ -65,64 +69,19 @@ so runs are byte-identical for identical inputs.
 from __future__ import annotations
 
 import math
-from itertools import count
-from typing import Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import (Dict, Iterable, List, Mapping, Optional, Set, Tuple,
+                    TYPE_CHECKING)
 
-from .policy import CachePolicy, value_score
+from .policy import value_score
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.block_manager import Block, BlockManagerMaster, BlockStore
     from ..engine.rdd import RDD
     from ..engine.stage import Stage
     from .manager import CacheManager
+    from .policy import _ScoredEntry
 
 BlockId = Tuple[int, int]  # (rdd_id, partition_index)
-
-
-class _BrokerEntry:
-    """Broker-side bookkeeping for one resident block."""
-
-    __slots__ = ("seq", "size_bytes", "last_access")
-
-    def __init__(self, seq: int, size_bytes: float) -> None:
-        self.seq = seq
-        self.size_bytes = size_bytes
-        self.last_access = seq
-
-
-class BrokerPolicy(CachePolicy):
-    """Per-store policy stub that defers every decision to the broker.
-
-    The store still calls the standard policy contract
-    (insert/access/remove/victim/clear), which is exactly the channel
-    that keeps the broker's global ledger in sync with store contents —
-    including migrations, quota removals, and worker loss, which all go
-    through the same store mutations.
-    """
-
-    name = "broker"
-
-    def __init__(self, broker: "CacheBroker", worker_id: int) -> None:
-        self._broker = broker
-        self._worker_id = worker_id
-
-    def on_insert(self, block_id: BlockId, size_bytes: float) -> None:
-        self._broker.note_insert(self._worker_id, block_id, size_bytes)
-
-    def on_access(self, block_id: BlockId) -> None:
-        self._broker.note_access(self._worker_id, block_id)
-
-    def on_remove(self, block_id: BlockId) -> None:
-        self._broker.note_remove(self._worker_id, block_id)
-
-    def choose_victim(self) -> BlockId:
-        return self._broker.choose_local_victim(self._worker_id)
-
-    def clear(self) -> None:
-        self._broker.note_clear(self._worker_id)
-
-    def __len__(self) -> int:
-        return self._broker.resident_count(self._worker_id)
 
 
 class CacheBroker:
@@ -131,9 +90,6 @@ class CacheBroker:
     def __init__(self, manager: "CacheManager") -> None:
         self.manager = manager
         self.master: "BlockManagerMaster | None" = None
-        #: worker_id -> {block_id -> entry}, both insertion-ordered.
-        self._entries: Dict[int, Dict[BlockId, _BrokerEntry]] = {}
-        self._seq = count()
         self._relieving = False
 
         # -- prefix sharing state -------------------------------------------
@@ -170,30 +126,13 @@ class CacheBroker:
 
     def on_worker_registered(self, worker_id: int) -> None:
         assert self.master is not None
-        self._entries.setdefault(worker_id, {})
         self.master.stores[worker_id].pressure_reliever = self.relieve_pressure
 
-    # ---- store bookkeeping (BrokerPolicy callbacks) -------------------------
-
-    def note_insert(self, worker_id: int, block_id: BlockId,
-                    size_bytes: float) -> None:
-        entries = self._entries.setdefault(worker_id, {})
-        entries.pop(block_id, None)
-        entries[block_id] = _BrokerEntry(next(self._seq), size_bytes)
-
-    def note_access(self, worker_id: int, block_id: BlockId) -> None:
-        entry = self._entries.get(worker_id, {}).get(block_id)
-        if entry is not None:
-            entry.last_access = next(self._seq)
-
-    def note_remove(self, worker_id: int, block_id: BlockId) -> None:
-        self._entries.get(worker_id, {}).pop(block_id, None)
-
-    def note_clear(self, worker_id: int) -> None:
-        self._entries.get(worker_id, {}).clear()
-
-    def resident_count(self, worker_id: int) -> int:
-        return len(self._entries.get(worker_id, ()))
+    def _ledger(self, worker_id: int) -> Mapping[BlockId, "_ScoredEntry"]:
+        """``worker_id``'s resident blocks as its store's cost-aware
+        policy tracks them (size, recency, insertion sequence)."""
+        assert self.master is not None
+        return self.master.stores[worker_id].policy.inner.entries
 
     # ---- the value function -------------------------------------------------
 
@@ -209,7 +148,7 @@ class CacheBroker:
         """``recompute_cost × cross_job_refcount / size`` for one block
         (the per-byte seconds this block's residency is saving)."""
         if size_bytes is None:
-            entry = self._entries.get(worker_id, {}).get(block_id)
+            entry = self._ledger(worker_id).get(block_id)
             size_bytes = entry.size_bytes if entry is not None else 1.0
         cost = self.manager.estimate_recompute_cost(block_id[0])
         return value_score(cost, self.cross_job_refcount(block_id),
@@ -224,47 +163,31 @@ class CacheBroker:
         total = math.fsum(
             self.block_value(worker_id, bid, entry.size_bytes)
             * entry.size_bytes
-            for bid, entry in self._entries.get(worker_id, {}).items())
+            for bid, entry in self._ledger(worker_id).items())
         return total / max(store.capacity_bytes, 1.0)
 
     def accounted_bytes(self) -> float:
-        """Broker-ledger resident bytes (``math.fsum`` so the trace
+        """Policy-ledger resident bytes (``math.fsum`` so the trace
         reconciliation row compares exactly against the store sizes)."""
+        assert self.master is not None
         return math.fsum(entry.size_bytes
-                         for entries in self._entries.values()
-                         for entry in entries.values())
+                         for wid in self.master.stores
+                         for entry in self._ledger(wid).values())
 
     def top_blocks(self, n: int = 10) -> List[Tuple[float, int, BlockId]]:
         """The ``n`` most valuable resident blocks as
         ``(value, worker_id, block_id)``, highest first (deterministic
         tie-break on worker then block id)."""
+        assert self.master is not None
         scored = [
             (self.block_value(wid, bid, entry.size_bytes), wid, bid)
-            for wid in sorted(self._entries)
-            for bid, entry in self._entries[wid].items()
+            for wid in sorted(self.master.stores)
+            for bid, entry in self._ledger(wid).items()
         ]
         scored.sort(key=lambda t: (-t[0], t[1], t[2]))
         return scored[:n]
 
     # ---- global eviction ----------------------------------------------------
-
-    def choose_local_victim(self, worker_id: int) -> BlockId:
-        """The block ``worker_id`` should drop first: an over-quota
-        tenant's oldest block when one is resident (the quota
-        constraint), else the lowest-value block by the broker
-        ranking."""
-        entries = self._entries[worker_id]
-        quotas = self.manager.quotas
-        if quotas is not None:
-            preferred = quotas.preferred_victim(worker_id, iter(entries))
-            if preferred is not None:
-                return preferred
-        return min(
-            entries.items(),
-            key=lambda kv: (self.block_value(worker_id, kv[0],
-                                             kv[1].size_bytes),
-                            kv[1].last_access, kv[1].seq),
-        )[0]
 
     def relieve_pressure(self, store: "BlockStore",
                          incoming: "Block") -> None:
@@ -275,8 +198,7 @@ class CacheBroker:
         evicted), evict the remote block cluster-wide (reason
         ``"broker"``) and migrate the local victim into the freed
         space.  Whatever overflow remains falls through to the store's
-        normal local eviction loop (which asks
-        :meth:`choose_local_victim`)."""
+        normal local eviction loop."""
         master = self.master
         if master is None or self._relieving:
             return
@@ -288,11 +210,12 @@ class CacheBroker:
             while (store.used_bytes + incoming.size_bytes
                    > store.capacity_bytes and len(store)):
                 wid = store.worker_id
+                ledger = self._ledger(wid)
                 if quotas is not None and quotas.preferred_victim(
-                        wid, iter(self._entries[wid])) is not None:
+                        wid, iter(ledger)) is not None:
                     return  # quota enforcement wants a local eviction
-                local_id = self.choose_local_victim(wid)
-                local_entry = self._entries[wid][local_id]
+                local_id = store.policy.choose_victim()
+                local_entry = ledger[local_id]
                 local_value = self.block_value(wid, local_id,
                                                local_entry.size_bytes)
                 move = self._cheapest_remote_slot(
@@ -320,12 +243,11 @@ class CacheBroker:
         room to host it (no cascading evictions at the destination)."""
         assert self.master is not None
         best: Optional[Tuple[Tuple[float, int, int], int, BlockId]] = None
-        for wid in sorted(self._entries):
-            if wid == local_wid or wid not in self.master.stores:
+        for wid, dst in sorted(self.master.stores.items()):
+            if wid == local_wid:
                 continue
-            dst = self.master.stores[wid]
             headroom = dst.capacity_bytes - dst.used_bytes
-            for bid, entry in self._entries[wid].items():
+            for bid, entry in self._ledger(wid).items():
                 if headroom + entry.size_bytes < needed_bytes:
                     continue
                 value = self.block_value(wid, bid, entry.size_bytes)
@@ -408,7 +330,7 @@ class CacheBroker:
         """A decommissioning worker's blocks hottest-first, so the
         migration budget is spent on the most valuable ones."""
         return sorted(
-            self._entries.get(worker_id, {}),
+            self._ledger(worker_id),
             key=lambda bid: (-self.block_value(worker_id, bid), bid))
 
     # ---- event posting ------------------------------------------------------

@@ -7,8 +7,10 @@ and ties the subsystem together:
   (``policy_for_worker`` is handed to the
   :class:`~repro.engine.block_manager.BlockManagerMaster` as a factory),
   wiring the lineage-aware policies to the shared
-  :class:`~repro.cache.reference_tracker.ReferenceTracker` and to the
-  recompute-cost estimator;
+  :class:`~repro.cache.reference_tracker.ReferenceTracker` (or, with the
+  cluster-wide :class:`~repro.cache.broker.CacheBroker` on, to its
+  cross-job reference count), to the recompute-cost estimator, and to
+  one recency counter shared by every store;
 * gates every insert through the
   :class:`~repro.cache.admission.AdmissionController`;
 * receives the DAGScheduler's job/stage lifecycle hooks and forwards
@@ -24,11 +26,12 @@ blocks.  It is the same quantity the CheckpointOptimizer reasons about
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, TYPE_CHECKING
 
 from .admission import AdmissionController
-from .broker import BrokerPolicy, CacheBroker
-from .policy import CachePolicy, QuotaAwarePolicy, make_policy
+from .broker import CacheBroker
+from .policy import CachePolicy, CostAwarePolicy, QuotaAwarePolicy, make_policy
 from .reference_tracker import ReferenceTracker
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,7 +47,6 @@ class CacheManager:
     def __init__(self, context: "StarkContext") -> None:
         self.context = context
         config = context.config
-        self.policy_name: str = config.cache_policy
         self.admission = AdmissionController(
             min_cost_seconds=config.cache_admission_min_cost
         )
@@ -53,16 +55,22 @@ class CacheManager:
             unpersist_fn=self._auto_unpersist,
         )
         #: Cluster-wide cache broker (``StarkConfig.cache_broker``);
-        #: ``None`` keeps classic per-executor eviction.  The broker
-        #: subsumes both the per-store policy (every store gets a
-        #: :class:`~repro.cache.broker.BrokerPolicy` stub) and the
-        #: quota wrapper (quotas become a broker constraint).
+        #: ``None`` keeps classic per-executor eviction.
         self.broker: "CacheBroker | None" = (
             CacheBroker(self) if getattr(config, "cache_broker", False)
             else None)
+        #: Every store's policy; the broker ranks with the cost-aware one,
+        #: by cross-job references.
+        self.policy_name: str = config.cache_policy
+        self._ref_fn = self.tracker.block_ref_count
         if self.broker is not None:
             self.tracker.set_external_pin_fn(self.broker.pin_count)
+            self.policy_name = CostAwarePolicy.name
+            self._ref_fn = self.broker.cross_job_refcount
         self._quotas: "TenantCacheQuotas | None" = None
+        #: One recency counter for all stores, so ``(last_access, seq)``
+        #: ties break in global access order across workers.
+        self._recency = itertools.count()
 
     @property
     def quotas(self) -> "TenantCacheQuotas | None":
@@ -84,22 +92,16 @@ class CacheManager:
     def policy_for_worker(self, worker_id: int) -> CachePolicy:
         """Build this context's configured policy for one block store.
 
-        With the cluster-wide broker on, every store gets a
-        :class:`~repro.cache.broker.BrokerPolicy` stub instead — victim
-        choice (including the tenant-quota constraint) moves to the
-        broker, so no :class:`QuotaAwarePolicy` wrapper is needed.
-
-        Otherwise the policy is wrapped in a :class:`QuotaAwarePolicy`
-        whose quota lookup is late-bound to :attr:`quotas`, so attaching
-        a service layer retrofits quota-aware victim selection onto
-        stores that already exist.
+        The policy is wrapped in a :class:`QuotaAwarePolicy` whose quota
+        lookup is late-bound to :attr:`quotas`, so attaching a service
+        layer retrofits quota-aware victim selection onto stores that
+        already exist.
         """
-        if self.broker is not None:
-            return BrokerPolicy(self.broker, worker_id)
         inner = make_policy(
             self.policy_name,
-            ref_fn=self.tracker.block_ref_count,
+            ref_fn=self._ref_fn,
             cost_fn=self.estimate_recompute_cost,
+            counter=self._recency,
         )
         return QuotaAwarePolicy(inner, worker_id, lambda: self.quotas)
 

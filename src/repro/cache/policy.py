@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 BlockId = Tuple[int, int]  # (rdd_id, partition_index)
 
@@ -133,11 +133,19 @@ class _ScoredPolicy(CachePolicy):
     traces always evict identically; the recency tie-break makes the
     scored policies degrade to LRU when their oracles are uninformative
     (all scores equal).
+
+    Stores sharing one ``counter`` rank ``(last_access, seq)`` in one
+    global access order, so the tie-break also compares across stores.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, counter: Optional[Iterator[int]] = None) -> None:
         self._entries: Dict[BlockId, _ScoredEntry] = {}
-        self._seq = itertools.count()
+        self._seq = counter if counter is not None else itertools.count()
+
+    @property
+    def entries(self) -> Mapping[BlockId, _ScoredEntry]:
+        """Read-only view of the resident blocks' bookkeeping."""
+        return self._entries
 
     def score(self, block_id: BlockId, entry: _ScoredEntry) -> float:
         raise NotImplementedError
@@ -174,10 +182,10 @@ def value_score(recompute_cost: float, references: float,
 
     ``recompute_cost * (1 + references) / size`` — the expected stage
     re-execution seconds a cached byte is saving.  This is
-    :class:`CostAwarePolicy`'s per-executor score generalized so the
-    cluster-wide :class:`repro.cache.broker.CacheBroker` ranks every
-    live block with the *same* value function, with ``references``
-    counted across all jobs instead of within one executor's horizon.
+    :class:`CostAwarePolicy`'s score.  With the cluster-wide
+    :class:`repro.cache.broker.CacheBroker` on, every store runs a
+    :class:`CostAwarePolicy` whose ``references`` count across all jobs,
+    and the broker ranks every live block with this same function.
     """
     return recompute_cost * (1.0 + references) / max(size_bytes, 1.0)
 
@@ -193,8 +201,9 @@ class LRCPolicy(_ScoredPolicy):
 
     name = "lrc"
 
-    def __init__(self, ref_fn: RefCountFn) -> None:
-        super().__init__()
+    def __init__(self, ref_fn: RefCountFn,
+                 counter: Optional[Iterator[int]] = None) -> None:
+        super().__init__(counter)
         self._ref_fn = ref_fn
 
     def score(self, block_id: BlockId, entry: _ScoredEntry) -> float:
@@ -211,8 +220,9 @@ class CostAwarePolicy(_ScoredPolicy):
 
     name = "cost"
 
-    def __init__(self, ref_fn: RefCountFn, cost_fn: CostFn) -> None:
-        super().__init__()
+    def __init__(self, ref_fn: RefCountFn, cost_fn: CostFn,
+                 counter: Optional[Iterator[int]] = None) -> None:
+        super().__init__(counter)
         self._ref_fn = ref_fn
         self._cost_fn = cost_fn
 
@@ -242,7 +252,7 @@ class QuotaAwarePolicy(CachePolicy):
 
     def __init__(self, inner: CachePolicy, worker_id: int,
                  quotas_fn: Callable[[], Optional[object]]) -> None:
-        self._inner = inner
+        self.inner = inner
         self._worker_id = worker_id
         self._quotas_fn = quotas_fn
         self._resident: "OrderedDict[BlockId, None]" = OrderedDict()
@@ -250,14 +260,14 @@ class QuotaAwarePolicy(CachePolicy):
 
     def on_insert(self, block_id: BlockId, size_bytes: float) -> None:
         self._resident[block_id] = None
-        self._inner.on_insert(block_id, size_bytes)
+        self.inner.on_insert(block_id, size_bytes)
 
     def on_access(self, block_id: BlockId) -> None:
-        self._inner.on_access(block_id)
+        self.inner.on_access(block_id)
 
     def on_remove(self, block_id: BlockId) -> None:
         self._resident.pop(block_id, None)
-        self._inner.on_remove(block_id)
+        self.inner.on_remove(block_id)
 
     def choose_victim(self) -> BlockId:
         quotas = self._quotas_fn()
@@ -266,14 +276,14 @@ class QuotaAwarePolicy(CachePolicy):
                 self._worker_id, self._resident.keys())
             if victim is not None:
                 return victim
-        return self._inner.choose_victim()
+        return self.inner.choose_victim()
 
     def clear(self) -> None:
         self._resident.clear()
-        self._inner.clear()
+        self.inner.clear()
 
     def __len__(self) -> int:
-        return len(self._inner)
+        return len(self.inner)
 
 
 POLICY_NAMES = (LRUPolicy.name, FIFOPolicy.name, LRCPolicy.name,
@@ -284,10 +294,12 @@ def make_policy(
     name: str,
     ref_fn: Optional[RefCountFn] = None,
     cost_fn: Optional[CostFn] = None,
+    counter: Optional[Iterator[int]] = None,
 ) -> CachePolicy:
     """Instantiate the policy called ``name``.
 
-    ``lrc`` requires ``ref_fn``; ``cost`` requires both oracles.
+    ``lrc`` requires ``ref_fn``; ``cost`` requires both oracles; both
+    take their sequence numbers from ``counter`` when given.
     """
     if name == LRUPolicy.name:
         return LRUPolicy()
@@ -296,11 +308,11 @@ def make_policy(
     if name == LRCPolicy.name:
         if ref_fn is None:
             raise ValueError("LRCPolicy needs a reference-count function")
-        return LRCPolicy(ref_fn)
+        return LRCPolicy(ref_fn, counter)
     if name == CostAwarePolicy.name:
         if ref_fn is None or cost_fn is None:
             raise ValueError("CostAwarePolicy needs reference and cost functions")
-        return CostAwarePolicy(ref_fn, cost_fn)
+        return CostAwarePolicy(ref_fn, cost_fn, counter)
     raise ValueError(f"unknown cache policy {name!r}; pick from {POLICY_NAMES}")
 
 

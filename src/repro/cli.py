@@ -178,7 +178,7 @@ def _cmd_cache_broker(args: argparse.Namespace) -> int:
         "Cache broker: per-worker cached value density",
         ["worker", "blocks", "resident (KB)", "capacity (KB)",
          "density (µs/B)"],
-        [[wid, broker.resident_count(wid),
+        [[wid, len(master.stores[wid]),
           master.used_bytes(wid) / 1e3,
           master.stores[wid].capacity_bytes / 1e3,
           broker.worker_value_density(wid) * 1e6]
@@ -285,7 +285,7 @@ def _cmd_service(args: argparse.Namespace) -> int:
     from .engine.context import StarkConfig
 
     StarkConfig(scheduling_policy=args.scheduling_policy,
-                tenant_quota_mb=args.tenant_quota_mb).validate_service()
+                tenant_quota_mb=args.tenant_quota_mb)
     results = harness.run_tenant_fairness(
         num_tenants=args.tenants,
         zipf_s=args.zipf_s,
@@ -642,8 +642,9 @@ def _reconcile(contexts: Sequence["StarkContext"],
              + counts.get("QueryFailed", 0)),
         ]
 
-    # Broker rows: the global ledger must account for exactly the bytes
-    # resident in the block stores (both sides ``math.fsum``, so exact),
+    # Broker rows: the ledger the broker ranks (the stores' cost-aware
+    # policies) must account for exactly the bytes resident in the
+    # block stores (both sides ``math.fsum``, so exact),
     # and every broker action must have posted its event.  Cross-job
     # hits combine lineage-prefix serves with registry fingerprint
     # dedup — the two sharing mechanisms.

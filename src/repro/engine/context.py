@@ -16,6 +16,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from ..cache.manager import CacheManager
 from ..cache.policy import DEFAULTS as CACHE_DEFAULTS
+from ..cache.policy import POLICY_NAMES as CACHE_POLICY_NAMES
 from ..cluster.cluster import Cluster
 from ..cluster.cost_model import CostModel
 from ..obs import log as obs_log
@@ -168,9 +169,30 @@ class StarkConfig:
     #: only overlap queueing accounting, not task execution.
     max_concurrent_jobs: int = 1
 
-    def validate_service(self) -> None:
-        """Reject nonsense service-layer knobs up front (CLI guard)."""
+    def __post_init__(self) -> None:
+        """Reject nonsense knobs at construction, before any simulation
+        runs.  The initial cluster size is checked against the elastic
+        bounds by :class:`StarkContext`, which knows it."""
+        from ..elastic.policy import POLICY_NAMES as SCALE_POLICY_NAMES
         from ..service.pools import SCHEDULING_POLICY_NAMES
+
+        if self.cache_policy not in CACHE_POLICY_NAMES:
+            raise ValueError(
+                f"unknown cache policy {self.cache_policy!r}; "
+                f"pick from {CACHE_POLICY_NAMES}")
+        if (self.scale_policy is not None
+                and self.scale_policy not in SCALE_POLICY_NAMES):
+            raise ValueError(
+                f"unknown scale_policy {self.scale_policy!r}; "
+                f"pick from {SCALE_POLICY_NAMES}")
+        lo, hi = self.min_workers, self.max_workers
+        if lo is not None and lo < 1:
+            raise ValueError(f"min_workers must be at least 1: {lo}")
+        if hi is not None and hi < 1:
+            raise ValueError(f"max_workers must be at least 1: {hi}")
+        if lo is not None and hi is not None and lo > hi:
+            raise ValueError(
+                f"min_workers ({lo}) exceeds max_workers ({hi})")
         if self.scheduling_policy not in SCHEDULING_POLICY_NAMES:
             raise ValueError(
                 f"unknown scheduling_policy {self.scheduling_policy!r}; "
@@ -182,9 +204,6 @@ class StarkConfig:
             raise ValueError(
                 f"max_concurrent_jobs must be at least 1: "
                 f"{self.max_concurrent_jobs}")
-
-    def validate_fault_tolerance(self) -> None:
-        """Reject nonsense fault-tolerance knobs up front (CLI guard)."""
         if self.speculation_multiplier <= 1.0:
             raise ValueError(
                 "speculation_multiplier must exceed 1: "
@@ -211,31 +230,6 @@ class StarkConfig:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability: {p}")
 
-    def validate_elastic(self, initial_workers: int) -> None:
-        """Check the elastic bounds against an initial cluster size.
-
-        Requires ``min_workers <= initial_workers <= max_workers`` (for
-        whichever bounds are set) and positive bounds; raises
-        ``ValueError`` on nonsense so the CLI rejects bad flag
-        combinations up front.
-        """
-        lo, hi = self.min_workers, self.max_workers
-        if lo is not None and lo < 1:
-            raise ValueError(f"min_workers must be at least 1: {lo}")
-        if hi is not None and hi < 1:
-            raise ValueError(f"max_workers must be at least 1: {hi}")
-        if lo is not None and hi is not None and lo > hi:
-            raise ValueError(
-                f"min_workers ({lo}) exceeds max_workers ({hi})")
-        if lo is not None and initial_workers < lo:
-            raise ValueError(
-                f"initial cluster size ({initial_workers}) is below "
-                f"min_workers ({lo})")
-        if hi is not None and initial_workers > hi:
-            raise ValueError(
-                f"initial cluster size ({initial_workers}) exceeds "
-                f"max_workers ({hi})")
-
 
 class StarkContext:
     """Driver context: create RDDs, run jobs, manage Stark components."""
@@ -250,9 +244,16 @@ class StarkContext:
         memory_per_worker: float = 12e9,
     ) -> None:
         self.config = config or StarkConfig()
-        self.config.validate_fault_tolerance()
-        self.config.validate_elastic(
-            len(cluster) if cluster is not None else num_workers)
+        initial = len(cluster) if cluster is not None else num_workers
+        lo, hi = self.config.min_workers, self.config.max_workers
+        if lo is not None and initial < lo:
+            raise ValueError(
+                f"initial cluster size ({initial}) is below "
+                f"min_workers ({lo})")
+        if hi is not None and initial > hi:
+            raise ValueError(
+                f"initial cluster size ({initial}) exceeds "
+                f"max_workers ({hi})")
         self.cluster = cluster or Cluster(
             num_workers=num_workers,
             cores_per_worker=cores_per_worker,

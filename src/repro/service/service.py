@@ -81,7 +81,6 @@ class DatasetService:
         scheduling_policy: Optional[str] = None,
         default_quota_mb: Optional[float] = None,
     ) -> None:
-        context.config.validate_service()
         self.context = context
         policy = (scheduling_policy if scheduling_policy is not None
                   else context.config.scheduling_policy)

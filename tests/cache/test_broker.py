@@ -6,10 +6,10 @@ layer's density-driven scale-in."""
 import math
 
 from repro import obs
-from repro.cache.broker import BrokerPolicy
-from repro.cache.policy import value_score
+from repro.cache.policy import CostAwarePolicy, QuotaAwarePolicy, value_score
 from repro.cluster.cost_model import SimStr
 from repro.elastic import BacklogPolicy, ResourceManager
+from repro.engine.block_manager import Block
 from repro.engine.context import StarkConfig, StarkContext
 from repro.service.quotas import TenantCacheQuotas
 
@@ -45,6 +45,19 @@ def ledger_matches_stores(sc):
     return broker.accounted_bytes() == resident
 
 
+def policy_ledger_matches_stores(sc):
+    """Every store's cost-aware policy tracks exactly the store's blocks
+    at the store's sizes — the ledger the broker ranks."""
+    for store in sc.block_manager_master.stores.values():
+        ledger = store.policy.inner.entries
+        if sorted(ledger) != sorted(store.block_ids()):
+            return False
+        if any(entry.size_bytes != store.peek(bid).size_bytes
+               for bid, entry in ledger.items()):
+            return False
+    return True
+
+
 class TestValueScore:
     def test_cost_and_refs_raise_value_size_lowers_it(self):
         base = value_score(2.0, 1, 100.0)
@@ -57,23 +70,34 @@ class TestValueScore:
 
 
 class TestLedgerSync:
-    def test_every_store_runs_a_broker_policy(self):
-        sc = make_context()
+    def test_every_store_runs_cost_aware_ranked_by_cross_job_refs(self):
+        # The configured per-executor policy is overridden: the broker
+        # ranks with the cost-aware value function everywhere.
+        sc = make_context(cache_policy="lru")
+        broker = sc.cache_broker
         for store in sc.block_manager_master.stores.values():
-            assert isinstance(store.policy, BrokerPolicy)
-            assert store.policy.name == "broker"
+            assert isinstance(store.policy, QuotaAwarePolicy)
+            assert isinstance(store.policy.inner, CostAwarePolicy)
+            assert store.policy.name == "cost"
+            assert store.policy.inner._ref_fn == broker.cross_job_refcount
+        rdd = dataset(sc, read_cost="network").cache()
+        rdd.count()
+        sc.cache_manager.expect(rdd, 2)
+        for wid, store in sc.block_manager_master.stores.items():
+            for bid, entry in store.policy.inner.entries.items():
+                assert store.policy.inner.score(bid, entry) \
+                    == broker.block_value(wid, bid)
 
     def test_ledger_tracks_inserts_and_removals(self):
         sc = make_context()
         rdd = dataset(sc).cache()
         rdd.count()
-        master = sc.block_manager_master
-        for wid, store in master.stores.items():
-            assert sc.cache_broker.resident_count(wid) == len(store)
+        assert policy_ledger_matches_stores(sc)
         assert sc.cache_broker.accounted_bytes() > 0
         assert ledger_matches_stores(sc)
         rdd.unpersist()
         assert sc.cache_broker.accounted_bytes() == 0.0
+        assert policy_ledger_matches_stores(sc)
         assert ledger_matches_stores(sc)
 
     def test_block_value_uses_cost_refs_and_size(self):
@@ -81,8 +105,8 @@ class TestLedgerSync:
         rdd = dataset(sc, read_cost="network", name="hot").cache()
         rdd.count()
         broker = sc.cache_broker
-        wid = min(w for w in broker.master.stores
-                  if broker.resident_count(w))
+        wid = min(w for w, store in broker.master.stores.items()
+                  if len(store))
         bid = sorted(broker.master.stores[wid].block_ids())[0]
         cost = sc.cache_manager.estimate_recompute_cost(rdd.rdd_id)
         size = broker.master.stores[wid].peek(bid).size_bytes
@@ -165,8 +189,45 @@ class TestGlobalEvictionMarket:
         market_run(sc)
         assert sc.cache_broker.broker_evictions > 0
         assert ledger_matches_stores(sc)
-        for wid, store in sc.block_manager_master.stores.items():
-            assert sc.cache_broker.resident_count(wid) == len(store)
+        assert policy_ledger_matches_stores(sc)
+
+    def test_equal_value_ties_break_in_global_access_order(self):
+        # Two equally valuable cold blocks on two other workers: the
+        # market evicts the one touched least recently *cluster-wide*.
+        # Worker 1's cold block is globally older but was that store's
+        # third insert, worker 2's was its first — per-store recency
+        # counters would pick worker 2's instead.
+        sc = make_context(num_workers=3, memory_per_worker=500)
+        master = sc.block_manager_master
+        w0, w1, w2 = sorted(master.stores)
+        assert master.stores[w0].capacity_bytes == 300
+        hot, cold, filler = (sc.parallelize([0], 4, name=name)
+                             for name in ("hot", "cold", "filler"))
+        sc.rdd_stats(hot.rdd_id).record_delay(1.0)
+        sc.rdd_stats(filler.rdd_id).record_delay(1.0)
+        sc.rdd_stats(cold.rdd_id).record_delay(0.1)
+
+        def put(wid, rdd, pid):
+            master.put(wid, Block((rdd.rdd_id, pid), [], 100.0))
+
+        put(w1, filler, 0)
+        put(w1, filler, 1)
+        put(w1, cold, 0)
+        put(w2, cold, 1)
+        put(w2, filler, 2)
+        put(w2, filler, 3)
+        for pid in range(3):
+            put(w0, hot, pid)
+        collector = obs.EventCollector()
+        sc.event_bus.subscribe(collector)
+        put(w0, hot, 3)  # overflows w0: the market relieves it
+
+        evicted = collector.of_type(obs.BrokerEvicted)
+        assert [(e.worker_id, e.rdd_id, e.partition) for e in evicted] \
+            == [(w1, cold.rdd_id, 0)]
+        assert master.is_cached_on(w1, (hot.rdd_id, 0))
+        assert master.is_cached_on(w2, (cold.rdd_id, 1))
+        assert policy_ledger_matches_stores(sc)
 
 
 class TestPrefixSharing:

@@ -124,33 +124,47 @@ class TestSimStr:
 
 
 class TestElasticConfigValidation:
+    """Bounds are checked when the config is built; the initial cluster
+    size is checked against them when the context is built."""
+
     def make(self, **kwargs):
         from repro.engine.context import StarkConfig
 
         return StarkConfig(**kwargs)
 
+    def context(self, num_workers, **kwargs):
+        return StarkContext(num_workers=num_workers, cores_per_worker=1,
+                            memory_per_worker=1e6, config=self.make(**kwargs))
+
     def test_unset_bounds_accept_anything(self):
-        self.make().validate_elastic(4)
+        self.context(4)
 
     def test_valid_window_accepts(self):
-        self.make(min_workers=2, max_workers=8).validate_elastic(4)
+        self.context(4, min_workers=2, max_workers=8)
 
     def test_bounds_must_be_positive(self):
         with pytest.raises(ValueError):
-            self.make(min_workers=0).validate_elastic(4)
+            self.make(min_workers=0)
         with pytest.raises(ValueError):
-            self.make(max_workers=0).validate_elastic(4)
+            self.make(max_workers=0)
 
     def test_min_above_max_rejected(self):
         with pytest.raises(ValueError):
-            self.make(min_workers=5, max_workers=2).validate_elastic(3)
+            self.make(min_workers=5, max_workers=2)
 
     def test_initial_outside_window_rejected(self):
         with pytest.raises(ValueError):
-            self.make(min_workers=4).validate_elastic(2)
+            self.context(2, min_workers=4)
         with pytest.raises(ValueError):
-            self.make(max_workers=4).validate_elastic(6)
+            self.context(6, max_workers=4)
 
     def test_one_sided_bounds(self):
-        self.make(min_workers=2).validate_elastic(100)
-        self.make(max_workers=8).validate_elastic(1)
+        self.context(100, min_workers=2)
+        self.context(1, max_workers=8)
+
+    def test_unknown_policy_names_rejected(self):
+        with pytest.raises(ValueError):
+            self.make(cache_policy="belady")
+        with pytest.raises(ValueError):
+            self.make(scale_policy="random")
+        self.make(scale_policy="backlog")

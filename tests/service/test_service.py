@@ -51,9 +51,12 @@ def count_job(sc, handle, name):
 
 class TestConfig:
     def test_service_validates_config(self):
-        sc = make_sc(scheduling_policy="wfq")
+        # Service knobs are validated when the config is built, before
+        # any context or service exists.
         with pytest.raises(ValueError):
-            DatasetService(sc)
+            make_sc(scheduling_policy="wfq")
+        with pytest.raises(ValueError):
+            make_sc(tenant_quota_mb=-1.0)
 
     def test_config_knobs_flow_through(self):
         sc = make_sc(scheduling_policy="fifo", tenant_quota_mb=2.0)
